@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Hashable, Optional, Sequence
 
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, LineFeed
 from repro.memory.layout import AddressMap
 from repro.memory.reuse import ReuseDistanceAnalyzer
 from repro.spaces.node import IndexNode
@@ -68,22 +68,55 @@ NULL_INSTRUMENT = Instrument()
 
 
 class MultiInstrument(Instrument):
-    """Broadcasts every event to a sequence of child instruments."""
+    """Broadcasts every event to a sequence of child instruments.
+
+    Each hook is bound once, at construction, to the children that
+    override it, in child order; a hook only one child overrides is
+    that child's method itself, so no event pays for a no-op.
+    """
 
     def __init__(self, children: Sequence[Instrument]) -> None:
         self.children = list(children)
+        for hook in _HOOKS:
+            setattr(self, hook, _fan_out(hook, self.children))
 
-    def op(self, kind: str) -> None:
-        for child in self.children:
-            child.op(kind)
 
-    def access(self, tree: str, node: IndexNode) -> None:
-        for child in self.children:
-            child.access(tree, node)
+def _broadcast_one(methods: list[Callable[..., None]]) -> Callable[[Any], None]:
+    def broadcast(first: Any) -> None:
+        for method in methods:
+            method(first)
 
-    def work(self, o: IndexNode, i: IndexNode) -> None:
-        for child in self.children:
-            child.work(o, i)
+    return broadcast
+
+
+def _broadcast_two(
+    methods: list[Callable[..., None]],
+) -> Callable[[Any, Any], None]:
+    def broadcast(first: Any, second: Any) -> None:
+        for method in methods:
+            method(first, second)
+
+    return broadcast
+
+
+#: Each hook with the broadcaster matching its arity (no ``*args``
+#: packing on the per-event path).
+_HOOKS = {"op": _broadcast_one, "access": _broadcast_two, "work": _broadcast_two}
+
+
+def _fan_out(hook: str, children: Sequence[Instrument]) -> Callable[..., None]:
+    """One callable delivering ``hook`` events to the children that use it."""
+    no_op = getattr(Instrument, hook)
+    methods = [
+        method
+        for method in (getattr(child, hook) for child in children)
+        if getattr(method, "__func__", None) is not no_op
+    ]
+    if not methods:
+        return getattr(NULL_INSTRUMENT, hook)
+    if len(methods) == 1:
+        return methods[0]
+    return _HOOKS[hook](methods)
 
 
 class OpCounter(Instrument):
@@ -94,12 +127,23 @@ class OpCounter(Instrument):
     """
 
     def __init__(self) -> None:
-        self.counts: Counter[str] = Counter()
+        # A plain dict: ``Counter`` defines ``__delitem__`` in Python,
+        # which routes every item store through a slow slot wrapper,
+        # and ``op`` is the most frequent event of an instrumented run.
+        self._counts: dict[str, int] = {}
         self.work_points = 0
         self.accesses = 0
 
+    @property
+    def counts(self) -> Counter[str]:
+        """Op kind -> count, in first-seen order (a snapshot)."""
+        return Counter(self._counts)
+
     def op(self, kind: str) -> None:
-        self.counts[kind] += 1
+        try:
+            self._counts[kind] += 1
+        except KeyError:
+            self._counts[kind] = 1
 
     def access(self, tree: str, node: IndexNode) -> None:
         self.accesses += 1
@@ -160,21 +204,33 @@ class CacheProbe(Instrument):
     lines (one line for plain tree nodes; several for nodes that own
     point data or vector blocks — see :mod:`repro.memory.layout`).
     Per-level hit counts are tallied for the cost model.
+
+    Lines are buffered in a bounded :class:`~repro.memory.hierarchy.LineFeed`
+    and simulated in level-streamed batches.  Every counter below, and
+    every read of the hierarchy itself, drains the buffer first, so
+    reads always see the whole stream so far.  An unregistered node
+    still raises :class:`~repro.errors.MemorySimError` at its access.
     """
 
     def __init__(self, address_map: AddressMap, hierarchy: CacheHierarchy) -> None:
         self.address_map = address_map
         self.hierarchy = hierarchy
-        #: hits per level index, plus one slot for memory at the end
-        self.level_hits = [0] * (len(hierarchy.levels) + 1)
-        self.accesses = 0
+        self._feed = LineFeed(hierarchy)
+        self._lines_of = address_map.lines_of
+        self._extend = self._feed.extend
 
     def access(self, tree: str, node: IndexNode) -> None:
-        lines = self.address_map.lines_of((tree, node.number))
-        hierarchy_access = self.hierarchy.access
-        for line in lines:
-            self.level_hits[hierarchy_access(line)] += 1
-            self.accesses += 1
+        self._extend(self._lines_of((tree, node.number)))
+
+    @property
+    def level_hits(self) -> list[int]:
+        """Hits per level index, plus one slot for memory at the end."""
+        return self._feed.served
+
+    @property
+    def accesses(self) -> int:
+        """Line accesses fed to the hierarchy."""
+        return sum(self._feed.served)
 
     @property
     def cache_level_hits(self) -> list[int]:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.multilevel import MultiLevelInstrument, MultiLevelSpec
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, LineFeed
 from repro.spaces.node import IndexNode, TreeNode
 from repro.spaces.trees import balanced_tree
 
@@ -83,6 +83,9 @@ class MatMul3CacheProbe(MultiLevelInstrument):
     Addresses are row-major element indices divided into
     ``elements_per_line`` (doubles per 64-byte line = 8), with the three
     arrays in disjoint regions — the layout a C allocation would have.
+    Lines go through the same bounded
+    :class:`~repro.memory.hierarchy.LineFeed` as
+    :class:`~repro.core.instruments.CacheProbe`.
     """
 
     def __init__(
@@ -99,21 +102,28 @@ class MatMul3CacheProbe(MultiLevelInstrument):
         self._a_base = 0
         self._b_base = a_lines
         self._c_base = a_lines + b_lines
-        self.accesses = 0
-        self.level_hits = [0] * (len(hierarchy.levels) + 1)
+        self._feed = LineFeed(hierarchy)
 
     def point(self, nodes: Sequence[IndexNode]) -> None:
         i, j, k = (node.data for node in nodes)  # type: ignore[attr-defined]
         per_line = self.elements_per_line
-        lines = (
-            self._a_base + (i * self.mmm.p + k) // per_line,
-            self._b_base + (k * self.mmm.m + j) // per_line,
-            self._c_base + (i * self.mmm.m + j) // per_line,
+        self._feed.extend(
+            (
+                self._a_base + (i * self.mmm.p + k) // per_line,
+                self._b_base + (k * self.mmm.m + j) // per_line,
+                self._c_base + (i * self.mmm.m + j) // per_line,
+            )
         )
-        access = self.hierarchy.access
-        for line in lines:
-            self.level_hits[access(line)] += 1
-            self.accesses += 1
+
+    @property
+    def level_hits(self) -> list[int]:
+        """Hits per level index, plus one slot for memory at the end."""
+        return self._feed.served
+
+    @property
+    def accesses(self) -> int:
+        """Line accesses fed to the hierarchy."""
+        return sum(self._feed.served)
 
     @property
     def memory_accesses(self) -> int:

@@ -12,12 +12,21 @@ exactly those associativity effects).
 
 Per-set recency is an ``OrderedDict`` (move-to-end on hit, popitem on
 eviction), giving ``O(1)`` amortized accesses.
+
+:meth:`SetAssociativeCache.access_all` is the streaming form: one tight
+loop over an ordered batch of lines that returns the batch's misses, in
+order.  Because a miss allocates and nothing else (no write-back, no
+back-invalidation from an outer level) ever changes a set, the misses it
+returns are exactly the stream the next level down sees; that is what
+lets :class:`~repro.memory.hierarchy.CacheHierarchy` simulate one level
+at a time and still match the per-line walk bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import MemorySimError
 
@@ -96,6 +105,37 @@ class SetAssociativeCache:
             self.stats.evictions += 1
         cache_set[line] = None
         return False
+
+    def access_all(self, lines: Sequence[Address]) -> list[Address]:
+        """Touch every line in order; return the lines that missed, in order.
+
+        Equivalent to calling :meth:`access` on each line (same final set
+        contents and statistics), with the statistics updated once.
+        """
+        sets = self._sets
+        num_sets = self.num_sets
+        ways = self.ways
+        move_to_end = OrderedDict.move_to_end
+        popitem = OrderedDict.popitem
+        misses: list[Address] = []
+        missed = misses.append
+        evictions = 0
+        for line in lines:
+            cache_set = sets[line % num_sets]
+            if line in cache_set:
+                move_to_end(cache_set, line)
+            else:
+                missed(line)
+                if len(cache_set) >= ways:
+                    popitem(cache_set, False)
+                    evictions += 1
+                cache_set[line] = None
+        stats = self.stats
+        stats.accesses += len(lines)
+        stats.hits += len(lines) - len(misses)
+        stats.misses += len(misses)
+        stats.evictions += evictions
+        return misses
 
     def contains(self, line: Address) -> bool:
         """Non-mutating lookup (does not update recency or stats)."""

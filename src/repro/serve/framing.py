@@ -43,6 +43,8 @@ from repro.serve.protocol import (
     NNResult,
     Query,
     Result,
+    checked_point,
+    checked_radius,
 )
 
 #: Negotiable framings, in hello order of preference.
@@ -125,25 +127,18 @@ def unpack_query(body: bytes) -> Query:
     offset = _U8.size
     if tag == _Q_NN:
         point, _ = _unpack_point(body, offset)
-        if not point:
-            raise SpecError("query point must have at least one coordinate")
-        return NNQuery(point)
+        return NNQuery(checked_point(point))
     if tag == _Q_KNN:
         (k,) = _U32.unpack_from(body, offset)
         point, _ = _unpack_point(body, offset + _U32.size)
         if k < 1:
             raise SpecError(f"knn query needs k >= 1, got {k}")
-        if not point:
-            raise SpecError("query point must have at least one coordinate")
-        return KNNQuery(point, int(k))
+        return KNNQuery(checked_point(point), int(k))
     if tag == _Q_COUNT:
         (radius,) = _F64.unpack_from(body, offset)
         point, _ = _unpack_point(body, offset + _F64.size)
-        if radius < 0:
-            raise SpecError(f"count query needs radius >= 0, got {radius}")
-        if not point:
-            raise SpecError("query point must have at least one coordinate")
-        return CountQuery(point, float(radius))
+        radius = checked_radius(radius)
+        return CountQuery(checked_point(point), radius)
     raise SpecError(f"unknown binary query tag 0x{tag:02x}")
 
 

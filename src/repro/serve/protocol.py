@@ -22,6 +22,7 @@ never share a tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -81,11 +82,22 @@ Result = Union[NNResult, KNNResult, CountResult]
 _QUERY_KINDS = {"nn": NNQuery, "knn": KNNQuery, "count": CountQuery}
 
 
-def _point(values) -> tuple[float, ...]:
+def checked_point(values) -> tuple[float, ...]:
+    """A decoded query point as floats; empty or non-finite is a SpecError."""
     point = tuple(float(value) for value in values)
     if not point:
         raise SpecError("query point must have at least one coordinate")
+    if not all(map(math.isfinite, point)):
+        raise SpecError("query point coordinates must be finite")
     return point
+
+
+def checked_radius(value) -> float:
+    """A decoded count radius; negative or non-finite is a SpecError."""
+    radius = float(value)
+    if not math.isfinite(radius) or radius < 0:
+        raise SpecError(f"count query needs a finite radius >= 0, got {radius}")
+    return radius
 
 
 def group_key(query: Query) -> tuple:
@@ -121,7 +133,7 @@ def decode_query(payload: dict) -> Query:
         raise SpecError(
             f"unknown query kind {kind!r}; known: {sorted(_QUERY_KINDS)}"
         )
-    point = _point(payload.get("point", ()))
+    point = checked_point(payload.get("point", ()))
     if kind == "nn":
         return NNQuery(point)
     if kind == "knn":
@@ -129,10 +141,7 @@ def decode_query(payload: dict) -> Query:
         if k < 1:
             raise SpecError(f"knn query needs k >= 1, got {k}")
         return KNNQuery(point, k)
-    radius = float(payload.get("radius", 0.3))
-    if radius < 0:
-        raise SpecError(f"count query needs radius >= 0, got {radius}")
-    return CountQuery(point, radius)
+    return CountQuery(point, checked_radius(payload.get("radius", 0.3)))
 
 
 def encode_result(result: Result) -> dict:

@@ -6,6 +6,7 @@ against a local :class:`QueryService` oracle over the same
 (deterministic, seed-pinned) synthetic reference set.
 """
 
+import math
 import os
 import socket
 import subprocess
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.serve.client import ServeClient, wait_for_server
+from repro.serve.client import ServeClient, ServeClientError, wait_for_server
 from repro.serve.protocol import CountQuery, KNNQuery, NNQuery
 from repro.serve.service import QueryService, ServiceConfig
 from repro.spaces.points import clustered_points
@@ -200,3 +201,19 @@ class TestServerRoundTrip:
             response = json_module.loads(handle.readline())
         assert response["ok"] is False
         assert "k >= 1" in response["error"]
+
+    @pytest.mark.parametrize("framing", ["json", "binary"])
+    def test_non_finite_query_refused_and_connection_survives(
+        self, server, oracle, framing
+    ):
+        queries = sample_queries()
+        with ServeClient("127.0.0.1", server, framing=framing) as client:
+            for bad in (
+                NNQuery((math.nan, 0.5)),
+                KNNQuery((0.5, math.inf), 3),
+                CountQuery((0.5, 0.5), math.nan),
+            ):
+                with pytest.raises(ServeClientError, match="finite"):
+                    client.query(bad)
+            assert client.ping()
+            assert client.query(queries[0]) == oracle[0]

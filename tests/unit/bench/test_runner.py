@@ -2,9 +2,21 @@
 
 import pytest
 
-from repro.bench import bench_hierarchy, make_tj, run_case, run_pair
+from repro.bench import (
+    bench_hierarchy,
+    make_knn,
+    make_mm,
+    make_nn,
+    make_pc,
+    make_tj,
+    make_vp,
+    run_case,
+    run_pair,
+    runner,
+)
 from repro.core.schedules import ORIGINAL, TWIST
 from repro.memory import speedup
+from tests.unit.core.test_instruments import PerLineCacheProbe
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +61,28 @@ class TestRunPair:
                                      bench_hierarchy)
         assert baseline.result == twisted.result
         assert speedup(baseline, twisted) > 0
+
+
+#: The six paper benchmarks at a tenth of their default sizes: TJ alone
+#: feeds the probe several times its buffer.
+PAPER_CASES = {
+    "TJ": lambda: make_tj(120),
+    "MM": lambda: make_mm(64),
+    "PC": lambda: make_pc(819),
+    "NN": lambda: make_nn(614),
+    "KNN": lambda: make_knn(307),
+    "VP": lambda: make_vp(307),
+}
+
+
+class TestPerLineOracleParity:
+    @pytest.mark.parametrize("schedule", [ORIGINAL, TWIST], ids=lambda s: s.name)
+    @pytest.mark.parametrize("name", PAPER_CASES)
+    def test_report_equals_per_line_probe(self, monkeypatch, name, schedule):
+        # The level-streamed buffered probe must reproduce the per-line
+        # walk exactly: every count, the cycles and the answer.
+        fast = run_case(PAPER_CASES[name](), schedule, bench_hierarchy)
+        monkeypatch.setattr(runner, "CacheProbe", PerLineCacheProbe)
+        reference = run_case(PAPER_CASES[name](), schedule, bench_hierarchy)
+        assert fast.accesses > 0
+        assert fast == reference

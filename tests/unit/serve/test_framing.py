@@ -6,6 +6,7 @@ these tests spell the bytes out rather than round-tripping only.
 """
 
 import json
+import math
 import struct
 
 import pytest
@@ -144,6 +145,18 @@ class TestFrameValidation:
             fr.unpack_query(b"\xff")
         with pytest.raises(SpecError, match="empty"):
             fr.unpack_query(b"")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_binary_decoder_rejects_non_finite_input(self, bad):
+        for query in (
+            NNQuery((0.5, bad)),
+            KNNQuery((bad,), 2),
+            CountQuery((bad, 0.5), 0.3),
+        ):
+            with pytest.raises(SpecError, match="finite"):
+                fr.unpack_query(fr.pack_query(query))
+        with pytest.raises(SpecError, match="finite radius"):
+            fr.unpack_query(fr.pack_query(CountQuery((0.5,), bad)))
 
 
 class TestBlockingReader:

@@ -1,6 +1,7 @@
 """Wire-protocol round trips and admission grouping keys."""
 
 import json
+import math
 
 import pytest
 
@@ -91,6 +92,21 @@ class TestValidation:
     def test_negative_radius_rejected(self):
         with pytest.raises(SpecError, match="radius >= 0"):
             decode_query({"kind": "count", "point": [0.0], "radius": -1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        for payload in (
+            {"kind": "nn", "point": [0.5, bad]},
+            {"kind": "knn", "point": [bad], "k": 2},
+            {"kind": "count", "point": [bad, 0.5], "radius": 0.3},
+        ):
+            with pytest.raises(SpecError, match="finite"):
+                decode_query(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, bad):
+        with pytest.raises(SpecError, match="finite radius"):
+            decode_query({"kind": "count", "point": [0.5], "radius": bad})
 
     def test_unknown_result_kind_rejected(self):
         with pytest.raises(SpecError, match="unknown result kind"):
